@@ -175,6 +175,14 @@ class Cgroup:
             raise CgroupError("cgroup name must not contain '/'")
         self.name = name
         self.parent = parent
+        # ``name`` and ``parent`` never change after construction, so the
+        # path is joined once here rather than on every lookup.
+        if parent is None:
+            self._path = ""
+        elif parent.parent is None:
+            self._path = name
+        else:
+            self._path = f"{parent._path}/{name}"
         self.children: Dict[str, Cgroup] = {}
         self._weight = DEFAULT_WEIGHT
         self.weight = weight
@@ -203,12 +211,7 @@ class Cgroup:
     @property
     def path(self) -> str:
         """Slash-joined path from the root, '' for the root itself."""
-        parts: List[str] = []
-        node: Optional[Cgroup] = self
-        while node is not None and node.parent is not None:
-            parts.append(node.name)
-            node = node.parent
-        return "/".join(reversed(parts))
+        return self._path
 
     @property
     def is_root(self) -> bool:

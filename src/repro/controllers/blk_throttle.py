@@ -63,7 +63,7 @@ class _Bucket:
 
 
 class _GroupThrottle:
-    __slots__ = ("limits", "queue", "riops", "wiops", "rbps", "wbps", "wake")
+    __slots__ = ("limits", "queue", "riops", "wiops", "rbps", "wbps", "wake", "noted")
 
     def __init__(self, limits: ThrottleLimits):
         self.limits = limits
@@ -73,6 +73,8 @@ class _GroupThrottle:
         self.rbps = _Bucket(limits.rbps) if limits.rbps else None
         self.wbps = _Bucket(limits.wbps) if limits.wbps else None
         self.wake = None
+        # The bio last noted as throttled: each bio is noted once.
+        self.noted: Optional[Bio] = None
 
     def buckets_for(self, bio: Bio):
         if bio.is_write:
@@ -122,7 +124,9 @@ class BlkThrottleController(IOController):
                 buckets = group.buckets_for(bio)
                 waits = [bucket.wait_time(now, amount) for bucket, amount in buckets]
                 if any(wait > 0 for wait in waits):
-                    self.note_throttle(bio, "tokens")
+                    if group.noted is not bio:
+                        group.noted = bio
+                        self.note_throttle(bio, "tokens")
                     self._arm_wake(group, max(waits))
                     break
                 for bucket, amount in buckets:

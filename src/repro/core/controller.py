@@ -5,7 +5,9 @@ cost model, divide by the issuing group's cached hweight to get the relative
 cost, and compare against the group's budget — the gap between global and
 local vtime.  Enough budget → dispatch immediately and advance local vtime;
 otherwise the bio waits until global vtime progresses far enough (a timer is
-armed for exactly that moment).  All state touched is local to the group.
+armed for exactly that moment, and pumps skip the parked group until then
+-- docs/PERF.md gives the exact rule).  All state touched is local to the
+group.
 
 **Planning path** (per period, millisecond scale): deactivate idle groups,
 tally per-group usage and recompute budget donations (§3.6), and adjust
@@ -210,6 +212,8 @@ class IOCost(IOController):
                     group.local_vtime = (
                         max(group.local_vtime, self.clock.now()) + relative
                     )
+                    # Less budget: a parked head bio now needs a later wake.
+                    group.park_gen = -1
                     self.debt_charged += bio.abs_cost
                     if self._tp_debt.enabled:
                         self._tp_debt.emit(
@@ -252,16 +256,32 @@ class IOCost(IOController):
             return
         if not layer.can_dispatch():
             return
-        if len(backlogged) == 1:
-            # The common case: one group waiting on budget.  _try_issue
-            # drops it from the map itself when the waitq drains.
-            self._try_issue(next(iter(backlogged)))
-            return
-        for state in sorted(backlogged, key=_group_seq):
-            if state.waitq:
-                self._try_issue(state)
-                if not layer.can_dispatch():
-                    break
+        # One backlogged group is the common case; _try_issue drops a
+        # group from the map itself when its waitq drains.
+        states = (
+            tuple(backlogged) if len(backlogged) == 1
+            else sorted(backlogged, key=_group_seq)
+        )
+        tree = self.tree
+        for state in states:
+            # A parked group stays skipped until its wake fires or a retry
+            # could succeed (docs/PERF.md, "Parked groups").
+            if state.park_gen == tree.generation and self._still_parked(state):
+                continue
+            self._try_issue(state)
+            if not layer.can_dispatch():
+                break
+
+    def _still_parked(self, state: GroupState) -> bool:
+        """True while retrying the parked ``state`` would fail and re-arm the
+        same wake: the vrate is unchanged and ``_try_issue``'s own success
+        test, slack included, still fails.  The caller has checked the tree
+        generation."""
+        clock = self.clock
+        return (
+            state.park_vrate == clock.vrate
+            and (clock.now() - state.local_vtime) + 1e-12 < state.park_need
+        )
 
     def _activate(self, group: GroupState) -> None:
         if group.active:
@@ -274,6 +294,8 @@ class IOCost(IOController):
         layer = self.layer
         tree = self.tree
         waitq = group.waitq
+        # Unpark: only a failure below parks again, with fresh values.
+        group.park_gen = -1
         while waitq and layer.can_dispatch():
             bio = waitq[0]
             # Cached reciprocal: the per-bio charge is a multiply, not a
@@ -317,8 +339,13 @@ class IOCost(IOController):
                     self.rescinds += 1
                     continue
                 self._budget_blocked_events += 1
-                self.note_throttle(bio, "budget")
+                if group.noted_bio is not bio:
+                    group.noted_bio = bio
+                    self.note_throttle(bio, "budget")
                 self._arm_wake(group, need - budget)
+                group.park_gen = tree.generation
+                group.park_vrate = self.clock.vrate
+                group.park_need = need
                 break
         if not waitq:
             self._backlogged.pop(group, None)
@@ -331,6 +358,7 @@ class IOCost(IOController):
 
     def _wake(self, group: GroupState) -> None:
         group.wake_event = None
+        group.park_gen = -1
         self.pump()
 
     def on_complete(self, bio: Bio) -> None:
@@ -402,6 +430,10 @@ class IOCost(IOController):
                 budget_blocked=self._budget_blocked_events,
             )
         self._budget_blocked_events = 0
+        # Retry every backlogged group, parked or not: the next period's
+        # budget_starved input counts the groups that are still blocked.
+        for state in self._backlogged:
+            state.park_gen = -1
         self.pump()
         self._plan_timer = sim.schedule(self.qos.period, self._plan)
 

@@ -45,6 +45,16 @@ class GroupState:
         self.local_vtime = 0.0
         self.waitq: Deque["Bio"] = deque()
         self.wake_event: Optional["Event"] = None
+        # Wake-driven retry (IOCost.pump): a group whose head bio blocked
+        # on budget is *parked* until its wake fires.  ``park_gen`` is the
+        # tree generation at parking (-1: not parked), ``park_vrate`` the
+        # vrate, ``park_need`` the budget the head bio needs.
+        self.park_gen = -1
+        self.park_vrate = 0.0
+        self.park_need = 0.0
+        # The bio last noted as throttled: each bio is noted once, however
+        # often it re-blocks.
+        self.noted_bio: Optional["Bio"] = None
         # Planning-path accounting (reset each period).
         self.abs_usage = 0.0
         self.period_ios = 0

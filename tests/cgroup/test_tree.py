@@ -28,6 +28,13 @@ class TestTopology:
         assert "a" in tree and "a/b" in tree
         assert tree.lookup("a/b") is leaf.parent
 
+    def test_path_is_read_only(self):
+        tree = CgroupTree()
+        leaf = tree.create("a/b")
+        assert leaf.parent.path == "a"
+        with pytest.raises(AttributeError):
+            leaf.path = "x"
+
     def test_create_duplicate_rejected(self):
         tree = CgroupTree()
         tree.create("a")

@@ -144,6 +144,19 @@ class TestBlkThrottle:
         assert layer.iops_of(a) / 0.5 == pytest.approx(2000, rel=0.1)
         assert layer.iops_of(b) / 0.5 == pytest.approx(4000, rel=0.1)
 
+    def test_each_held_back_bio_noted_once(self):
+        # The unlimited group's completions pump the limited group's queue
+        # hundreds of times per bio it gets to issue.
+        controller = BlkThrottleController({"a": ThrottleLimits(riops=2000)})
+        sim, layer, tree = build_layer(controller)
+        a = tree.create("a")
+        free = tree.create("free")
+        ClosedLoop(sim, layer, a, stop_at=0.2, seed=1).start()
+        ClosedLoop(sim, layer, free, stop_at=0.2, seed=2).start()
+        sim.run(until=0.3)
+        assert layer.submitted_ios == layer.completed_ios
+        assert 0 < controller.throttled_by_cgroup["a"] <= layer.completed_by_cgroup["a"]
+
     def test_set_limits_online(self):
         controller = BlkThrottleController()
         sim, layer, tree = build_layer(controller)

@@ -1,8 +1,11 @@
 """Tests for workload base helpers."""
 
+from array import array
+
 import numpy as np
 import pytest
 
+from repro.obs.metrics import exact_percentile
 from repro.workloads.base import SectorPicker, Workload
 
 from tests.workloads.conftest import make_noop_env
@@ -47,6 +50,18 @@ class TestWorkloadBase:
         workload.latencies = [1.0] * 100 + [2.0] * 100
         assert workload.recent_percentile(50, last=100) == 2.0
         assert workload.recent_percentile(50, last=200) in (1.0, 2.0)
+
+    def test_latencies_are_compact_doubles(self):
+        sim, layer, tree = make_noop_env()
+        workload = Workload(sim, layer, tree.create("a"))
+        samples = [3e-4, 1e-4, 2.5e-4, 7e-5]
+        workload.latencies.extend(samples)
+        assert isinstance(workload.latencies, array)
+        assert workload.latencies.itemsize == 8
+        assert list(workload.latencies[1:]) == samples[1:]
+        assert sum(workload.latencies) == sum(samples)
+        assert exact_percentile(workload.latencies, 50) == exact_percentile(samples, 50)
+        assert np.array(workload.latencies).tolist() == samples
 
     def test_iops_helper(self):
         sim, layer, tree = make_noop_env()
