@@ -36,9 +36,13 @@ def percentile(samples: Sequence[float], pct: float) -> float:
 class LatencyWindow:
     """Sliding-window latency samples with percentile queries.
 
-    Samples are (timestamp, latency) pairs; queries prune samples older than
-    ``window`` seconds before answering.  This is the signal source for
-    IOCost's latency-target saturation detection.
+    Samples are (timestamp, latency) pairs.  Samples older than ``window``
+    seconds are pruned on every record and before every query, so the
+    window holds at most ``window`` seconds of samples however long the run
+    is.  Time only moves forward, so a sample pruned on record would have
+    been pruned by any later query too: percentiles are the same as with
+    query-only pruning.  This is the signal source for IOCost's
+    latency-target saturation detection.
     """
 
     def __init__(self, window: float = 1.0) -> None:
@@ -48,7 +52,12 @@ class LatencyWindow:
         self._samples: Deque[Tuple[float, float]] = deque()
 
     def record(self, now: float, latency: float) -> None:
-        self._samples.append((now, latency))
+        samples = self._samples
+        samples.append((now, latency))
+        # The new sample is inside the horizon, so this stops before it.
+        horizon = now - self.window
+        while samples[0][0] < horizon:
+            samples.popleft()
 
     def _prune(self, now: float) -> None:
         horizon = now - self.window

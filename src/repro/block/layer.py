@@ -8,7 +8,10 @@ kernel block layer provides around them:
 * request-slot accounting (``nr_slots``) — the depletion signal IOCost's
   saturation detection consumes;
 * cgroup-relative sequentiality detection (the cost-model feature of §3.2);
-* per-device and per-cgroup completion-latency windows (QoS signals);
+* per-device and per-cgroup completion-latency windows (QoS signals),
+  recorded only for the consumers that registered them
+  (:meth:`BlockLayer.track_device_latency`,
+  :meth:`BlockLayer.track_cgroup_latency`);
 * the serialized issue-path CPU-cost model for Figure 9 (see
   :mod:`repro.controllers.base`);
 * the error/timeout path (docs/FAULTS.md): a dispatched bio that the device
@@ -16,14 +19,14 @@ kernel block layer provides around them:
   with exponential backoff up to ``max_retries``, then completed with its
   terminal non-OK status.  Every path — success, retry, final error,
   timeout — releases the bio's request slot exactly once, so queue depth
-  never leaks; failed bios still feed the per-cgroup latency windows, which
-  is how IOCost's QoS loop sees (and reacts to) device degradation.
+  never leaks; failed bios still feed the latency windows, which is how
+  the QoS loops see (and react to) device degradation.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.analysis.stats import LatencyWindow
 from repro.block.bio import Bio, BioStatus
@@ -68,9 +71,21 @@ class BlockLayer:
         self.controller = controller
         #: Stable ``maj:min`` device id all per-device accounting keys on.
         self.dev = device.devno
-        #: Cached ``device.spec.nr_slots``: can_dispatch() runs several
-        #: times per bio and must not chase three attributes each time.
-        self._nr_slots = device.spec.nr_slots
+        #: Cached ``device.spec.nr_slots``.  The slot test runs several
+        #: times per bio, so hot callers inline it as
+        #: ``layer.inflight < layer.nr_slots``.
+        self.nr_slots = device.spec.nr_slots
+        # Latency windows on demand (docs/PERF.md, "Latency windows"): a
+        # completion is recorded only into windows a consumer registered
+        # before traffic starts -- controllers do so from attach() below.
+        # The device-wide (read, write) pair, None until
+        # track_device_latency(), indexed by ``bio.is_write``; and
+        # per-cgroup windows, created on the first completion of each path
+        # in _tracked_cgroups.
+        self._latency_window = latency_window
+        self._device_windows: Optional[Tuple[LatencyWindow, LatencyWindow]] = None
+        self._tracked_cgroups: Set[str] = set()
+        self.cgroup_latency: Dict[str, LatencyWindow] = {}
         device.on_complete = self._device_completed
         controller.attach(self)
 
@@ -86,10 +101,6 @@ class BlockLayer:
         self._retryq: Deque[Bio] = deque()
 
         self.inflight = 0
-        self.read_latency = LatencyWindow(latency_window)
-        self.write_latency = LatencyWindow(latency_window)
-        self.cgroup_latency: Dict[str, LatencyWindow] = {}
-        self._latency_window = latency_window
 
         # CPU-time resource for the controller issue path (Fig 9 model).
         self._cpu_free_at = 0.0
@@ -172,7 +183,7 @@ class BlockLayer:
                 flags=bio.flags.value,
                 prio=bio.prio,
             )
-        if self.inflight >= self._nr_slots:
+        if self.inflight >= self.nr_slots:
             self.depleted_events += 1
         self.controller.enqueue(bio)
         self.controller.pump()
@@ -182,20 +193,20 @@ class BlockLayer:
 
     def can_dispatch(self) -> bool:
         """True while request slots remain for this device."""
-        return self.inflight < self._nr_slots
+        return self.inflight < self.nr_slots
 
     @property
     def slot_utilization(self) -> float:
         """Fraction of request slots in use (saturation signal)."""
-        return self.inflight / self._nr_slots
+        return self.inflight / self.nr_slots
 
     def dispatch(self, bio: Bio) -> None:
         """Send a bio to the device, charging the controller's CPU cost."""
-        if not self.can_dispatch():
+        if self.inflight >= self.nr_slots:
             raise BlockLayerError("dispatch with no free request slots")
         self.inflight += 1
         if self._san.enabled:
-            self._san.check_slots(self.inflight, self._nr_slots, self.dev)
+            self._san.check_slots(self.inflight, self.nr_slots, self.dev)
         overhead = self.controller.issue_overhead
         if overhead > 0:
             start = max(self.sim.now, self._cpu_free_at)
@@ -253,7 +264,7 @@ class BlockLayer:
         """
         self.inflight -= 1
         if self._san.enabled:
-            self._san.check_slots(self.inflight, self._nr_slots, self.dev)
+            self._san.check_slots(self.inflight, self.nr_slots, self.dev)
         if bio.status is not BioStatus.OK and bio.retries < self.max_retries:
             self._requeue(bio)
             if self._retryq:
@@ -266,6 +277,7 @@ class BlockLayer:
         if self._prof.enabled:
             self._prof.bios_completed += 1
         path = bio.cgroup.path
+        record = bio.cgroup.stats.device(self.dev)
         if bio.status is BioStatus.OK:
             self.completed_bytes += bio.nbytes
             self.completed_by_cgroup[path] = self.completed_by_cgroup.get(path, 0) + 1
@@ -273,7 +285,7 @@ class BlockLayer:
         else:
             self.errored_ios += 1
             self.errors_by_cgroup[path] = self.errors_by_cgroup.get(path, 0) + 1
-            bio.cgroup.stats.device(self.dev).errors += 1
+            record.errors += 1
             if self._tp_error.enabled:
                 self._tp_error.emit(
                     self.sim.now,
@@ -287,23 +299,21 @@ class BlockLayer:
                 )
         # io.stat wait accounting: wall time the bio spent above the device,
         # charged to this device's per-cgroup record.
-        bio.cgroup.stats.device(self.dev).wait_total += bio.issue_time - bio.submit_time
+        record.wait_total += bio.issue_time - bio.submit_time
 
         # Failed bios feed the latency windows too: a timed-out bio records
         # its full io_timeout, which is exactly the degraded-latency signal
-        # the QoS vrate loop must react to (graceful degradation).
-        now = self.sim.now
-        latency = bio.device_latency
-        if bio.is_write:
-            self.write_latency.record(now, latency)
-        else:
-            self.read_latency.record(now, latency)
-        # Inlined cgroup_window(): one dict probe on the common path.
-        window = self.cgroup_latency.get(path)
-        if window is None:
-            window = LatencyWindow(self._latency_window)
-            self.cgroup_latency[path] = window
-        window.record(now, latency)
+        # the QoS loops must react to (graceful degradation).  Only
+        # registered windows record; with none, this costs two truth tests.
+        windows = self._device_windows
+        if windows is not None:
+            windows[bio.is_write].record(self.sim.now, bio.device_latency)
+        tracked = self._tracked_cgroups
+        if tracked and path in tracked:
+            window = self.cgroup_latency.get(path)
+            if window is None:
+                window = self.cgroup_window(path)
+            window.record(self.sim.now, bio.device_latency)
 
         self.controller.on_complete(bio)
         if self._retryq:
@@ -359,10 +369,52 @@ class BlockLayer:
         while self._retryq and self.can_dispatch():
             self._redispatch(self._retryq.popleft())
 
+    # -- latency windows -----------------------------------------------------
+
+    def track_device_latency(self) -> None:
+        """Record completions into the device-wide ``read_latency`` and
+        ``write_latency`` windows from now on.  Register before traffic
+        starts; completions before this call are not recorded."""
+        if self._device_windows is None:
+            self._device_windows = (
+                LatencyWindow(self._latency_window),
+                LatencyWindow(self._latency_window),
+            )
+
+    def track_cgroup_latency(self, path: str) -> None:
+        """Record completions of cgroup ``path`` into its own window from
+        now on (see :meth:`track_device_latency`).  The registration
+        outlives the cgroup: removal drops the window's samples, and a
+        cgroup re-created at ``path`` records into a fresh window."""
+        self._tracked_cgroups.add(path)
+
+    @property
+    def read_latency(self) -> LatencyWindow:
+        """Device-wide read completion latencies (registered windows only)."""
+        return self._device_window(0)
+
+    @property
+    def write_latency(self) -> LatencyWindow:
+        """Device-wide write completion latencies (registered windows only)."""
+        return self._device_window(1)
+
+    def _device_window(self, is_write: int) -> LatencyWindow:
+        if self._device_windows is None:
+            raise BlockLayerError(
+                f"{self.dev}: device latency is not tracked; "
+                "call track_device_latency() before traffic starts"
+            )
+        return self._device_windows[is_write]
+
     def cgroup_window(self, path: str) -> LatencyWindow:
-        """Per-cgroup completion-latency window (created on first use)."""
+        """Per-cgroup completion-latency window of a registered ``path``."""
         window = self.cgroup_latency.get(path)
         if window is None:
+            if path not in self._tracked_cgroups:
+                raise BlockLayerError(
+                    f"{self.dev}: latency of cgroup {path!r} is not tracked; "
+                    "call track_cgroup_latency() before traffic starts"
+                )
             window = LatencyWindow(self._latency_window)
             self.cgroup_latency[path] = window
         return window
@@ -377,7 +429,8 @@ class BlockLayer:
         the layer.  On removal the completion counters fold into the parent
         (mirroring :class:`repro.obs.iostat.IOStat`'s rstat semantics, so
         machine-wide totals never regress) and the latency window — a
-        sliding measurement, not a cumulative counter — is dropped.
+        sliding measurement, not a cumulative counter — is dropped (its
+        registration stays, see :meth:`track_cgroup_latency`).
         """
         tree.add_remove_hook(self._on_cgroup_removed)
         return self

@@ -80,6 +80,8 @@ class IOLatencyController(IOController):
             group = _LatGroup(
                 path, self._targets.get(path), self.layer.device.spec.nr_slots
             )
+            # Registered at the group's first bio, before any completes.
+            self.layer.track_cgroup_latency(path)
             if self._victim_target is not None and (
                 group.target is None or group.target > self._victim_target
             ):

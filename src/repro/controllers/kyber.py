@@ -45,6 +45,7 @@ class KyberController(IOController):
 
     def attach(self, layer) -> None:
         super().attach(layer)
+        layer.track_device_latency()
         slots = layer.device.spec.nr_slots
         self._read_depth = slots
         self._write_depth = max(self.MIN_DEPTH, slots // 4)

@@ -32,6 +32,11 @@ class _GateShim:
     true here and ``dispatch`` simply hands the bio down.
     """
 
+    #: The same fact for callers that inline the slot test as
+    #: ``inflight < nr_slots`` (IOCost's pump).
+    inflight = 0
+    nr_slots = float("inf")
+
     def __init__(self, stacked: "StackedController", real: "BlockLayer"):
         self._stacked = stacked
         self._real = real

@@ -20,7 +20,7 @@ Swap/journal bios follow the §3.5 debt protocol, selectable via
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.analysis.stats import LatencyWindow
 from repro.block.bio import Bio, BioFlags
@@ -102,12 +102,12 @@ class IOCost(IOController):
         self.budget_cap = qos.period
 
         self._urgent: Deque[Bio] = deque()
-        #: Groups whose waitq is non-empty (docs/PERF.md): ``pump()`` runs
-        #: ~2× per bio, so it must not scan every group state.  Maintained
-        #: at the two waitq touch points (enqueue append, _try_issue
-        #: popleft); visited in group-creation order, matching the old
-        #: full scan over the states dict.
-        self._backlogged: Dict[GroupState, None] = {}
+        #: Groups whose waitq is non-empty, in creation order, the order
+        #: pumps visit them in (docs/PERF.md): ``pump()`` runs ~3× per bio,
+        #: so it must neither scan every group state nor sort.  Rebuilt
+        #: only at the two waitq touch points, when a group enters
+        #: (enqueue append) or leaves (the _try_issue drain).
+        self._backlogged: Tuple[GroupState, ...] = ()
         self._plan_timer = None
         # Period counters.
         self._budget_blocked_events = 0
@@ -238,7 +238,11 @@ class IOCost(IOController):
             return
 
         if not group.waitq:
-            self._backlogged[group] = None
+            backlogged = self._backlogged
+            if not backlogged or backlogged[-1].seq < group.seq:
+                self._backlogged = backlogged + (group,)
+            else:
+                self._backlogged = tuple(sorted(backlogged + (group,), key=_group_seq))
         group.waitq.append(bio)
 
     def pump(self) -> None:
@@ -247,41 +251,34 @@ class IOCost(IOController):
             self._prof.pump_calls += 1
         # Urgent (swap/journal) bios first: they bypass budget entirely.
         if self._urgent:
-            while self._urgent and layer.can_dispatch():
+            while self._urgent and layer.inflight < layer.nr_slots:
                 layer.dispatch(self._urgent.popleft())
         # Ordered cheapest-check-first: the completion-side pump usually
-        # finds nothing backlogged and must cost two truth tests.
-        backlogged = self._backlogged
-        if not backlogged:
+        # finds nothing to issue and must cost a few truth tests.
+        states = self._backlogged
+        if not states or layer.inflight >= layer.nr_slots:
             return
-        if not layer.can_dispatch():
-            return
-        # One backlogged group is the common case; _try_issue drops a
-        # group from the map itself when its waitq drains.
-        states = (
-            tuple(backlogged) if len(backlogged) == 1
-            else sorted(backlogged, key=_group_seq)
-        )
         tree = self.tree
+        clock = self.clock
+        # Neither changes inside this loop: vrate moves only on planning
+        # ticks, and sim time stands still during a pump.  The generation
+        # is re-read per group, because a rescind in _try_issue bumps it.
+        vrate = clock.vrate
+        now_v = clock.now()
         for state in states:
             # A parked group stays skipped until its wake fires or a retry
-            # could succeed (docs/PERF.md, "Parked groups").
-            if state.park_gen == tree.generation and self._still_parked(state):
+            # could succeed (docs/PERF.md, "Parked groups"): the test below
+            # is _try_issue's own success test, slack included, and must
+            # stay exactly that.
+            if (
+                state.park_gen == tree.generation
+                and state.park_vrate == vrate
+                and (now_v - state.local_vtime) + 1e-12 < state.park_need
+            ):
                 continue
             self._try_issue(state)
-            if not layer.can_dispatch():
+            if layer.inflight >= layer.nr_slots:
                 break
-
-    def _still_parked(self, state: GroupState) -> bool:
-        """True while retrying the parked ``state`` would fail and re-arm the
-        same wake: the vrate is unchanged and ``_try_issue``'s own success
-        test, slack included, still fails.  The caller has checked the tree
-        generation."""
-        clock = self.clock
-        return (
-            state.park_vrate == clock.vrate
-            and (clock.now() - state.local_vtime) + 1e-12 < state.park_need
-        )
 
     def _activate(self, group: GroupState) -> None:
         if group.active:
@@ -296,7 +293,7 @@ class IOCost(IOController):
         waitq = group.waitq
         # Unpark: only a failure below parks again, with fresh values.
         group.park_gen = -1
-        while waitq and layer.can_dispatch():
+        while waitq and layer.inflight < layer.nr_slots:
             bio = waitq[0]
             # Cached reciprocal: the per-bio charge is a multiply, not a
             # division (hierarchy.hweight_inv, same generation keying as
@@ -348,7 +345,14 @@ class IOCost(IOController):
                 group.park_need = need
                 break
         if not waitq:
-            self._backlogged.pop(group, None)
+            # A pump iterating the old tuple is unaffected.
+            backlogged = self._backlogged
+            if len(backlogged) == 1 and backlogged[0] is group:
+                self._backlogged = ()
+            else:
+                self._backlogged = tuple(
+                    state for state in backlogged if state is not group
+                )
 
     def _arm_wake(self, group: GroupState, vtime_gap: float) -> None:
         if group.wake_event is not None:
@@ -387,9 +391,10 @@ class IOCost(IOController):
         self._deactivate_idle()
         if self.donation_enabled:
             self._recompute_donations()
-        prev_saturations = self.vrate_ctl.saturation_events
-        prev_starvations = self.vrate_ctl.starvation_events
-        vrate = self.vrate_ctl.adjust(
+        vrate_ctl = self.vrate_ctl
+        prev_saturations = vrate_ctl.saturation_events
+        prev_starvations = vrate_ctl.starvation_events
+        vrate = vrate_ctl.adjust(
             sim.now,
             self._read_window,
             self._write_window,
@@ -401,11 +406,11 @@ class IOCost(IOController):
                 sim.now,
                 dev=self.layer.dev,
                 vrate=vrate,
-                busy_level=self.vrate_ctl.busy_level,
-                saturated=self.vrate_ctl.saturation_events > prev_saturations,
-                starved=self.vrate_ctl.starvation_events > prev_starvations,
-                read_p=self._read_window.percentile(sim.now, self.qos.read_pct),
-                write_p=self._write_window.percentile(sim.now, self.qos.write_pct),
+                busy_level=vrate_ctl.busy_level,
+                saturated=vrate_ctl.saturation_events > prev_saturations,
+                starved=vrate_ctl.starvation_events > prev_starvations,
+                read_p=vrate_ctl.read_p,
+                write_p=vrate_ctl.write_p,
             )
         # Fold the per-period counters into the lifetime statistics before
         # the in-place reset; the io.stat surface reads the totals.

@@ -74,17 +74,20 @@ class VRateController:
         # starved periods push it down, quiet periods decay it toward 0.
         # It feeds no control decision here.
         self.busy_level = 0
+        #: The window percentiles the last adjust() read (``read_pct`` /
+        #: ``write_pct``; None for an empty window): one sort per window
+        #: per planning tick, reused by the ``vrate_adjust`` tracepoint.
+        self.read_p: Optional[float] = None
+        self.write_p: Optional[float] = None
 
     # -- signal extraction ---------------------------------------------------
 
+    @staticmethod
     def _latency_violation(
-        self, now: float, window: LatencyWindow, target: Optional[float], pct: float
+        observed: Optional[float], target: Optional[float]
     ) -> Optional[float]:
         """Return observed/target ratio if violating, else None."""
-        if target is None:
-            return None
-        observed = window.percentile(now, pct)
-        if observed is None:
+        if target is None or observed is None:
             return None
         if observed > target:
             return observed / target
@@ -102,12 +105,10 @@ class VRateController:
     ) -> float:
         """One planning-period adjustment; returns the new vrate."""
         qos = self.qos
-        read_excess = self._latency_violation(
-            now, read_window, qos.read_lat_target, qos.read_pct
-        )
-        write_excess = self._latency_violation(
-            now, write_window, qos.write_lat_target, qos.write_pct
-        )
+        read_p = self.read_p = read_window.percentile(now, qos.read_pct)
+        write_p = self.write_p = write_window.percentile(now, qos.write_pct)
+        read_excess = self._latency_violation(read_p, qos.read_lat_target)
+        write_excess = self._latency_violation(write_p, qos.write_lat_target)
         depleted = slot_utilization >= qos.slot_depletion_threshold
 
         vrate = self.clock.vrate
@@ -135,7 +136,6 @@ class VRateController:
             self.clock.set_vrate(vrate)
 
         self.vrate_series.record(now, vrate)
-        read_p = read_window.percentile(now, qos.read_pct)
         if read_p is not None:
             self.read_lat_series.record(now, read_p)
         return vrate

@@ -159,6 +159,8 @@ def run_testbed(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         path: bed.add_cgroup(path, weight=int(weight))
         for path, weight in cgroup_table.items()
     }
+    for group in groups.values():
+        bed.track_latency(group)
     duration = float(params.get("duration", 1.0))
     for entry in workload_table:
         attach_workload(bed, groups, entry, duration)
@@ -420,6 +422,7 @@ def run_mechanism_2to1(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     bed = Testbed(device=spec, controller=mechanism, qos=qos, seed=seed, **kwargs)
     high = bed.add_cgroup("workload.slice/high", weight=200)
     low = bed.add_cgroup("workload.slice/low", weight=100)
+    bed.layer.track_device_latency()
     bed.saturate(high, depth=depth, stop_at=duration)
     bed.saturate(low, depth=depth, stop_at=duration)
     bed.run(duration)

@@ -118,6 +118,8 @@ def run_fleet_host(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         path: bed.add_cgroup(path, weight=int(weight))
         for path, weight in cgroup_table.items()
     }
+    for group in groups.values():
+        bed.track_latency(group)
     for entry in workload_table:
         attach_workload(bed, groups, dict(entry), duration)
 

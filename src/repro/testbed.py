@@ -318,9 +318,18 @@ class Testbed:
             )
         return done / duration
 
+    def track_latency(self, cgroup: Cgroup, device: Optional[str] = None) -> None:
+        """Record the cgroup's completion latencies on a device (default:
+        the data device), so :meth:`latency_percentile` can report them.
+        Call before the run: completions are recorded only from here on."""
+        self.layer_of(device).track_cgroup_latency(cgroup.path)
+
     def latency_percentile(
         self, cgroup: Cgroup, pct: float, device: Optional[str] = None
     ) -> Optional[float]:
+        """Device-side completion-latency percentile over the layer's
+        window (None if it is empty).  Raises unless the cgroup is tracked
+        on that device (:meth:`track_latency`)."""
         return self.layer_of(device).cgroup_window(cgroup.path).percentile(
             self.sim.now, pct
         )

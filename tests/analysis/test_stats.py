@@ -75,6 +75,41 @@ class TestLatencyWindow:
         with pytest.raises(ValueError):
             LatencyWindow(window=0.0)
 
+    def test_record_prunes_to_the_window(self):
+        window = LatencyWindow(window=1.0)
+        for step in range(1000):
+            window.record(step * 0.01, 1.0)
+        # Samples at t >= 9.99 - 1.0 remain: 101 of 1000.
+        assert len(window._samples) == 101
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.5),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        pct=st.sampled_from([50.0, 90.0, 99.0, 100.0]),
+    )
+    @settings(max_examples=100)
+    def test_pruning_on_record_keeps_percentiles(self, steps, pct):
+        # Reference: keep every sample, prune only when asked (the
+        # query-only behaviour), at the same monotone query times.
+        window = LatencyWindow(window=1.0)
+        kept = []
+        now = 0.0
+        for advance, latency, query in steps:
+            now += advance
+            window.record(now, latency)
+            kept.append((now, latency))
+            if query:
+                live = [lat for at, lat in kept if at >= now - 1.0]
+                assert window.percentile(now, pct) == percentile(live, pct)
+                assert window.count(now) == len(live)
+
 
 class TestRateMeter:
     def test_rate_over_window(self):

@@ -94,6 +94,7 @@ def test_dispatch_without_slots_raises():
 
 def test_latency_windows_split_reads_writes():
     sim, layer, tree = make_env()
+    layer.track_device_latency()
     group = tree.create("a")
     layer.submit(Bio(IOOp.READ, 4096, 1, group))
     layer.submit(Bio(IOOp.WRITE, 4096, 999, group))
@@ -105,11 +106,37 @@ def test_latency_windows_split_reads_writes():
 
 def test_cgroup_latency_window_populated():
     sim, layer, tree = make_env()
+    layer.track_cgroup_latency("workload")
     group = tree.create("workload")
     layer.submit(Bio(IOOp.READ, 4096, 1, group))
     sim.run()
     window = layer.cgroup_window("workload")
     assert window.count(sim.now) == 1
+
+
+def test_unregistered_latency_windows_raise_and_stay_empty():
+    sim, layer, tree = make_env()
+    layer.track_cgroup_latency("tracked")
+    quiet = tree.create("quiet")
+    tracked = tree.create("tracked")
+    layer.submit(Bio(IOOp.READ, 4096, 1, quiet))
+    layer.submit(Bio(IOOp.WRITE, 4096, 999, tracked))
+    sim.run()
+    with pytest.raises(BlockLayerError):
+        layer.read_latency.percentile(sim.now, 50)
+    with pytest.raises(BlockLayerError):
+        layer.write_latency.percentile(sim.now, 50)
+    with pytest.raises(BlockLayerError):
+        layer.cgroup_window("quiet")
+    # Nothing was recorded for the unregistered consumers.
+    assert list(layer.cgroup_latency) == ["tracked"]
+    assert layer.cgroup_window("tracked").count(sim.now) == 1
+
+
+def test_tracked_cgroup_without_completions_reads_empty():
+    sim, layer, tree = make_env()
+    layer.track_cgroup_latency("idle")
+    assert layer.cgroup_window("idle").percentile(sim.now, 50) is None
 
 
 def test_issue_overhead_serializes_dispatch():

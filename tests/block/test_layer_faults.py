@@ -122,6 +122,7 @@ class TestTimeout:
     def test_hung_bio_times_out(self):
         plan = FaultPlan([Hang(start=0.0)])
         sim, layer, tree = make_env(faults=plan, io_timeout=0.01, max_retries=0)
+        layer.track_device_latency()
         group = tree.create("ws")
         done = []
         layer.submit(read_bio(group)).wait(done.append)

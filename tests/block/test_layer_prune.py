@@ -40,6 +40,7 @@ def make_stack():
 class TestPruneOnRemoval:
     def test_counters_fold_into_parent(self):
         sim, tree, layer = make_stack()
+        layer.track_cgroup_latency("workload.slice/job")
         tree.create("workload.slice")
         child = tree.create("workload.slice/job")
         for i in range(3):
@@ -60,6 +61,7 @@ class TestPruneOnRemoval:
 
     def test_fold_accumulates_onto_parent_counts(self):
         sim, tree, layer = make_stack()
+        layer.track_cgroup_latency("workload.slice")
         parent = tree.create("workload.slice")
         child = tree.create("workload.slice/job")
         layer.submit(Bio(IOOp.READ, 4096, 8, parent))

@@ -11,10 +11,13 @@ import pytest
 
 from repro.block.bio import IOOp
 from repro.core.controller import IOCost
+from repro.core.debt import SwapChargeMode
 from repro.core.qos import QoSParams
 from repro.obs.prof import PROF
 from repro.obs.trace import TRACE
 from repro.testbed import Testbed
+from repro.workloads.memleak import MemoryLeaker
+from repro.workloads.rcbench import WebServer
 
 #: vrate pinned below device capacity, so every saturating tenant binds on
 #: budget (the host-mixed shape, shorter).
@@ -167,3 +170,102 @@ def test_planning_tick_counts_groups_that_stay_blocked():
             spanning += 1
             assert blocked > 0, f"period ending at {end} reported no blocked group"
     assert spanning >= 5
+
+
+# Pinned values for the two issue-path features the rigs above leave out:
+# a free vrate with donation (rescinds, vrate moving both ways) and §3.5
+# debt-charged swap.  Recorded before the pump kept its cached group order
+# and inline parked test; any issue decision that moves changes them.
+
+FREE_QOS = QoSParams(
+    read_lat_target=120e-6, read_pct=90, vrate_min=0.5, vrate_max=2.0, period=0.01
+)
+DONATING_EVENTS = 46102
+DONATING_COMPLETED = {
+    "workload.slice/heavy": 9319,
+    "workload.slice/light": 3993,
+    "workload.slice/writer": 4740,
+}
+DONATING_BYTES = {
+    "workload.slice/heavy": 38170624,
+    "workload.slice/light": 16355328,
+    "workload.slice/writer": 19415040,
+}
+DONATING_LATENCY_SUMS = {
+    "heavy": 2.567843605630074,
+    "light": 0.022501158929663572,
+    "burst": 0.4044862321175383,
+    "writer": 0.6407456780523947,
+}
+DONATING_VRATES = [
+    0.8524349410993233, 0.8972999379992878, 0.95, 0.9610983684743161,
+    0.9974999999999999, 1.0265779245423035, 1.047375, 1.0969943906250001,
+    1.09974375, 1.1547309375,
+]
+
+
+def test_free_vrate_with_donation_matches_pinned_values():
+    bed = Testbed("ssd_new", "iocost", seed=11, qos=FREE_QOS)
+    heavy = bed.add_cgroup("workload.slice/heavy", weight=100)
+    light = bed.add_cgroup("workload.slice/light", weight=400)
+    writer = bed.add_cgroup("workload.slice/writer", weight=100)
+    workloads = {
+        "heavy": bed.saturate(heavy, depth=32, stop_at=0.08),
+        # A trickle makes light a donor; a burst mid-period rescinds.
+        "light": bed.paced(light, rate=5000, stop_at=0.05),
+        "writer": bed.saturate(writer, depth=8, op=IOOp.WRITE, stop_at=0.08),
+    }
+
+    def burst():
+        workloads["burst"] = bed.saturate(light, depth=16, stop_at=0.08)
+
+    bed.sim.schedule(0.055, burst)
+    bed.run(0.1)
+    bed.detach()
+    ctl = bed.controller
+    assert ctl.rescinds == 2
+    assert ctl.donation_passes == 8
+    assert sorted(set(ctl.vrate_ctl.vrate_series.values)) == DONATING_VRATES
+    assert bed.sim.events_processed == DONATING_EVENTS
+    assert dict(bed.layer.completed_by_cgroup) == DONATING_COMPLETED
+    assert dict(bed.layer.bytes_by_cgroup) == DONATING_BYTES
+    for name, expected in DONATING_LATENCY_SUMS.items():
+        assert sum(workloads[name].latencies) == pytest.approx(expected, rel=1e-12)
+
+
+MB = 1 << 20
+SWAP_EVENTS = 14239
+SWAP_COMPLETED = {"system.slice": 1988, "workload.slice/web": 3898}
+SWAP_BYTES = {"system.slice": 128928763, "workload.slice/web": 142309651}
+
+
+def test_debt_charged_swap_matches_pinned_values():
+    qos = QoSParams(
+        read_lat_target=5e-3, read_pct=90, vrate_min=0.4, vrate_max=2.0, period=0.05
+    )
+    bed = Testbed(
+        "ssd_new", "iocost", seed=5, qos=qos, mem_bytes=256 * MB,
+        swap_bytes=2048 * MB, protected={"workload.slice/web": 64 * MB},
+    )
+    web_cg = bed.add_cgroup("workload.slice/web", weight=500)
+    system = bed.cgroups.lookup("system.slice")
+    web = WebServer(
+        bed.sim, bed.layer, bed.mm, web_cg, working_set=160 * MB, load=0.9,
+        workers=4, touch_per_request=512 * 1024, stop_at=1.0, seed=5,
+    ).start()
+    leaker = MemoryLeaker(
+        bed.sim, bed.layer, bed.mm, system, rate_bps=512 * MB, chunk=8 * MB,
+        stop_at=1.0, seed=6,
+    ).start()
+    bed.run(1.2)
+    bed.detach()
+    ctl = bed.controller
+    assert ctl.swap_mode is SwapChargeMode.DEBT
+    assert ctl.urgent_ios == 3332
+    assert ctl.debt_charged == pytest.approx(0.12471874722221758, rel=1e-12)
+    assert bed.sim.events_processed == SWAP_EVENTS
+    assert dict(bed.layer.completed_by_cgroup) == SWAP_COMPLETED
+    assert dict(bed.layer.bytes_by_cgroup) == SWAP_BYTES
+    assert (leaker.allocated, leaker.killed) == (251658240, False)
+    assert web.requests_done == 766
+    assert sum(web.request_latencies) == pytest.approx(4.929060261045263, rel=1e-12)

@@ -92,6 +92,7 @@ def test_iops_without_run_raises():
 def test_latency_percentile_exposed():
     tb = Testbed(device=FAST, controller="none")
     group = tb.add_cgroup("workload.slice/a")
+    tb.track_latency(group)
     tb.saturate(group, stop_at=0.1)
     tb.run(0.1)
     assert tb.latency_percentile(group, 50) > 0
